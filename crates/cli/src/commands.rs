@@ -368,7 +368,6 @@ pub fn serve(args: &Args) -> i32 {
     let defaults = metaai_serve::ServeConfig::default();
     let serve_cfg = metaai_serve::ServeConfig {
         max_batch: args.num_or("max-batch", defaults.max_batch),
-        max_delay: std::time::Duration::from_micros(args.num_or("max-delay-us", 2000u64)),
         queue_capacity: args.num_or("queue-cap", defaults.queue_capacity),
         workers: args.num_or("workers", defaults.workers),
         policy,
@@ -399,11 +398,10 @@ pub fn serve(args: &Args) -> i32 {
     }
     println!(
         "serving {model_count} model(s) on {addr} — {} workers/model, batch ≤ {}, \
-         flush ≤ {:?}, queue {} ({} overflow); \
+         queue {} ({} overflow); \
          send a SHUTDOWN frame (loadgen --shutdown) to drain and stop",
         serve_cfg.workers,
         serve_cfg.max_batch,
-        serve_cfg.max_delay,
         serve_cfg.queue_capacity,
         args.get_or("policy", "shed"),
     );

@@ -1,25 +1,26 @@
-//! The dynamic micro-batcher: a bounded submission queue whose consumers
-//! flush batches on **size** (`max_batch` requests queued) or **deadline**
-//! (the oldest queued request has waited `max_delay`).
+//! The work-conserving micro-batcher: a bounded submission queue whose
+//! consumers take whatever is queued, up to `max_batch` requests, the
+//! moment they are free.
 //!
-//! There is no separate scheduler thread — the scheduling policy lives in
+//! There is no separate scheduler thread — the policy lives in
 //! `BatchQueue::next_batch`, which every scoring worker calls in a loop.
-//! Whichever worker holds the lock when a flush condition is met takes the
-//! batch; the others keep waiting. This keeps the hot path to one mutex +
-//! two condvars and lets several batches score concurrently.
+//! Batches larger than one form only from requests that arrived while
+//! every worker was busy. The hot path is one mutex + two condvars; the
+//! queue counts idle workers and blocked submitters so that `notify_*`
+//! (a syscall even with no waiter) runs only when someone waits.
 //!
 //! Replies travel over per-request oneshot channels
 //! (`mpsc::sync_channel(1)`): submission returns a [`Ticket`] the caller
 //! blocks on, so a thousand in-flight requests cost a thousand parked
 //! receivers, not a thousand threads.
 
-use crate::metrics::ModelMetrics;
+use crate::metrics::{record, ModelMetrics};
 use crate::{OverflowPolicy, ServeConfig, ServeError};
 use metaai_math::CVec;
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One inference to serve.
 #[derive(Clone, Debug)]
@@ -91,20 +92,23 @@ impl Ticket {
 struct QueueState {
     queue: VecDeque<Pending>,
     shutdown: bool,
+    /// Workers parked on `not_empty`.
+    idle_workers: usize,
+    /// `Block` submitters parked on `not_full`.
+    blocked_submitters: usize,
 }
 
-/// The bounded submission queue + flush policy shared by submitters and
+/// The bounded submission queue + dequeue policy shared by submitters and
 /// scoring workers.
 pub struct BatchQueue {
     state: Mutex<QueueState>,
-    /// Signalled on push and on shutdown; consumers wait here.
+    /// Signalled on push to an idle worker, and on shutdown.
     not_empty: Condvar,
-    /// Signalled on flush and on shutdown; blocked submitters wait here.
+    /// Signalled on dequeue to blocked submitters, and on shutdown.
     not_full: Condvar,
     capacity: usize,
     policy: OverflowPolicy,
     max_batch: usize,
-    max_delay: Duration,
     /// Per-model instruments, when this queue belongs to a registered
     /// model. The aggregate `metaai.serve.*` instruments are recorded
     /// either way.
@@ -132,13 +136,14 @@ impl BatchQueue {
             state: Mutex::new(QueueState {
                 queue: VecDeque::with_capacity(config.queue_capacity.min(4096)),
                 shutdown: false,
+                idle_workers: 0,
+                blocked_submitters: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: config.queue_capacity,
             policy: config.policy,
             max_batch: config.max_batch,
-            max_delay: config.max_delay,
             model_metrics,
         }
     }
@@ -163,16 +168,13 @@ impl BatchQueue {
             }
             match self.policy {
                 OverflowPolicy::Shed => {
-                    if let Some(m) = crate::metrics::tele() {
-                        m.shed_total.inc();
-                    }
-                    if let Some(m) = self.model_tele() {
-                        m.shed_total.inc();
-                    }
+                    record!(self.model_tele(), |m| m.shed_total.inc());
                     return Err(ServeError::Overloaded);
                 }
                 OverflowPolicy::Block => {
+                    st.blocked_submitters += 1;
                     st = self.not_full.wait(st).expect("serve queue poisoned");
+                    st.blocked_submitters -= 1;
                 }
             }
         }
@@ -182,67 +184,48 @@ impl BatchQueue {
             enqueued_at: Instant::now(),
             reply: tx,
         });
-        if let Some(m) = crate::metrics::tele() {
+        record!(self.model_tele(), |m| {
             m.requests.inc();
             m.queue_depth.set(st.queue.len() as f64);
-        }
-        if let Some(m) = self.model_tele() {
-            m.requests.inc();
-            m.queue_depth.set(st.queue.len() as f64);
-        }
+        });
+        let wake_worker = st.idle_workers > 0;
         drop(st);
-        self.not_empty.notify_one();
+        if wake_worker {
+            self.not_empty.notify_one();
+        }
         Ok(Ticket { rx })
     }
 
-    /// Blocks until a batch is ready and takes it, or returns `None` once
-    /// the queue is shut down *and* drained. The flush policy:
-    ///
-    /// * `queue.len() ≥ max_batch` → flush `max_batch` immediately;
-    /// * oldest request older than `max_delay` → flush what is there;
-    /// * shutdown → flush remaining requests without waiting (drain).
+    /// Blocks until at least one request is queued, then takes up to
+    /// `max_batch` of them at once; returns `None` once the queue is shut
+    /// down *and* drained. There is no flush deadline: a free worker
+    /// never waits while a request is queued.
     pub(crate) fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut st = self.state.lock().expect("serve queue poisoned");
-        loop {
-            if st.queue.is_empty() {
-                if st.shutdown {
-                    return None;
-                }
-                st = self.not_empty.wait(st).expect("serve queue poisoned");
-                continue;
+        while st.queue.is_empty() {
+            if st.shutdown {
+                return None;
             }
-            if st.queue.len() >= self.max_batch || st.shutdown {
-                break;
-            }
-            let flush_at = st.queue.front().expect("non-empty").enqueued_at + self.max_delay;
-            let now = Instant::now();
-            if now >= flush_at {
-                break;
-            }
-            let (guard, _timed_out) = self
-                .not_empty
-                .wait_timeout(st, flush_at - now)
-                .expect("serve queue poisoned");
-            st = guard;
+            st.idle_workers += 1;
+            st = self.not_empty.wait(st).expect("serve queue poisoned");
+            st.idle_workers -= 1;
         }
         let take = st.queue.len().min(self.max_batch);
         let batch: Vec<Pending> = st.queue.drain(..take).collect();
-        if let Some(m) = crate::metrics::tele() {
+        record!(self.model_tele(), |m| {
             m.batches.inc();
             m.batch_size.observe(batch.len() as f64);
             m.queue_depth.set(st.queue.len() as f64);
-        }
-        if let Some(m) = self.model_tele() {
-            m.batches.inc();
-            m.batch_size.observe(batch.len() as f64);
-            m.queue_depth.set(st.queue.len() as f64);
-        }
-        let more = !st.queue.is_empty();
-        drop(st);
+        });
         // Submitters blocked on a full queue can proceed; if requests
-        // remain, hand them to another waiting worker right away.
-        self.not_full.notify_all();
-        if more {
+        // remain, hand them to an idle worker right away.
+        let wake_submitters = st.blocked_submitters > 0;
+        let wake_worker = !st.queue.is_empty() && st.idle_workers > 0;
+        drop(st);
+        if wake_submitters {
+            self.not_full.notify_all();
+        }
+        if wake_worker {
             self.not_empty.notify_one();
         }
         Some(batch)
@@ -263,32 +246,17 @@ impl BatchQueue {
     pub fn depth(&self) -> usize {
         self.state.lock().expect("serve queue poisoned").queue.len()
     }
-
-    /// Whether the queue has been shut down.
-    pub fn is_shutdown(&self) -> bool {
-        self.state.lock().expect("serve queue poisoned").shutdown
-    }
-
-    /// The configured flush size.
-    pub fn max_batch(&self) -> usize {
-        self.max_batch
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
-    fn config(
-        max_batch: usize,
-        max_delay: Duration,
-        cap: usize,
-        policy: OverflowPolicy,
-    ) -> ServeConfig {
+    fn config(max_batch: usize, cap: usize, policy: OverflowPolicy) -> ServeConfig {
         ServeConfig {
             max_batch,
-            max_delay,
             queue_capacity: cap,
             workers: 1,
             policy,
@@ -305,45 +273,40 @@ mod tests {
     }
 
     #[test]
-    fn flushes_on_size_before_the_deadline() {
-        let q = BatchQueue::new(&config(
-            3,
-            Duration::from_secs(30),
-            64,
-            OverflowPolicy::Shed,
-        ));
+    fn takes_at_most_max_batch_requests() {
+        let q = BatchQueue::new(&config(3, 64, OverflowPolicy::Shed));
         let _tickets: Vec<Ticket> = (0..5).map(|i| q.submit(request(i)).unwrap()).collect();
-        let started = Instant::now();
         let batch = q.next_batch().expect("batch");
-        // Size trigger: exactly max_batch requests, far before max_delay.
         assert_eq!(batch.len(), 3);
-        assert!(started.elapsed() < Duration::from_secs(5));
         assert_eq!(q.depth(), 2);
+        // The remainder goes out at once, without waiting for more.
+        assert_eq!(q.next_batch().expect("batch").len(), 2);
     }
 
     #[test]
-    fn flushes_a_partial_batch_at_the_deadline() {
-        let q = BatchQueue::new(&config(
-            100,
-            Duration::from_millis(50),
-            64,
-            OverflowPolicy::Shed,
-        ));
-        let _t0 = q.submit(request(0)).unwrap();
-        let _t1 = q.submit(request(1)).unwrap();
-        let started = Instant::now();
-        let batch = q.next_batch().expect("batch");
-        let waited = started.elapsed();
-        assert_eq!(batch.len(), 2);
-        // Deadline trigger: the flush waited for max_delay (generous
-        // upper bound for slow machines), not for a full batch.
-        assert!(waited >= Duration::from_millis(30), "waited {waited:?}");
-        assert!(waited < Duration::from_secs(10), "waited {waited:?}");
+    fn a_blocked_consumer_takes_a_single_request_without_waiting() {
+        let q = Arc::new(BatchQueue::new(&config(100, 64, OverflowPolicy::Shed)));
+        let (tx, rx) = mpsc::channel();
+        let consumer = {
+            let q = q.clone();
+            std::thread::spawn(move || tx.send(q.next_batch().expect("batch").len()))
+        };
+        // Submit only once the consumer is parked in `next_batch`.
+        while q.state.lock().unwrap().idle_workers == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let _ticket = q.submit(request(0)).unwrap();
+        // One request, taken as soon as it was queued although max_batch
+        // is 100 (generous bound for slow machines).
+        let taken = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(taken, Ok(1), "the parked consumer was not woken");
+        consumer.join().unwrap().unwrap();
+        assert_eq!(q.state.lock().unwrap().idle_workers, 0);
     }
 
     #[test]
     fn shed_policy_rejects_when_full() {
-        let q = BatchQueue::new(&config(8, Duration::from_secs(30), 2, OverflowPolicy::Shed));
+        let q = BatchQueue::new(&config(8, 2, OverflowPolicy::Shed));
         let _t0 = q.submit(request(0)).unwrap();
         let _t1 = q.submit(request(1)).unwrap();
         assert_eq!(q.submit(request(2)).unwrap_err(), ServeError::Overloaded);
@@ -352,13 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn block_policy_waits_for_a_flush() {
-        let q = Arc::new(BatchQueue::new(&config(
-            1,
-            Duration::from_secs(30),
-            1,
-            OverflowPolicy::Block,
-        )));
+    fn block_policy_waits_for_a_dequeue() {
+        let q = Arc::new(BatchQueue::new(&config(1, 1, OverflowPolicy::Block)));
         let _t0 = q.submit(request(0)).unwrap();
         let consumer = {
             let q = q.clone();
@@ -368,22 +326,18 @@ mod tests {
             })
         };
         let started = Instant::now();
-        let _t1 = q.submit(request(1)).expect("unblocked after flush");
+        let _t1 = q.submit(request(1)).expect("unblocked after a dequeue");
         assert!(
             started.elapsed() >= Duration::from_millis(30),
             "submit returned before the queue had space"
         );
         assert_eq!(consumer.join().unwrap(), 1);
+        assert_eq!(q.state.lock().unwrap().blocked_submitters, 0);
     }
 
     #[test]
     fn shutdown_drains_admitted_requests_then_stops() {
-        let q = BatchQueue::new(&config(
-            2,
-            Duration::from_secs(30),
-            64,
-            OverflowPolicy::Shed,
-        ));
+        let q = BatchQueue::new(&config(2, 64, OverflowPolicy::Shed));
         let _tickets: Vec<Ticket> = (0..5).map(|i| q.submit(request(i)).unwrap()).collect();
         q.shutdown();
         assert_eq!(q.submit(request(9)).unwrap_err(), ServeError::ShuttingDown);
@@ -399,7 +353,7 @@ mod tests {
 
     #[test]
     fn dropping_a_pending_reply_disconnects_the_ticket() {
-        let q = BatchQueue::new(&config(1, Duration::from_secs(30), 4, OverflowPolicy::Shed));
+        let q = BatchQueue::new(&config(1, 4, OverflowPolicy::Shed));
         let ticket = q.submit(request(0)).unwrap();
         let batch = q.next_batch().expect("batch");
         drop(batch);

@@ -302,12 +302,12 @@ impl DeploymentRegistry {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use metaai::config::SystemConfig;
     use metaai_nn::complex_lnn::ComplexLnn;
 
-    fn tiny_system(seed: u64) -> Arc<MetaAiSystem> {
+    pub(crate) fn tiny_system(seed: u64) -> Arc<MetaAiSystem> {
         shaped_system(seed, 3, 16)
     }
 

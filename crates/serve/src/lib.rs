@@ -1,19 +1,22 @@
 //! `metaai-serve` — a long-running over-the-air inference service on top
 //! of [`metaai::engine::OtaEngine`].
 //!
-//! The batch engine is ~37× cheaper per sample at batch 256 than
-//! per-sample scoring, but everything in the workspace up to this crate
-//! is offline: you hand it a full batch. An edge deployment sees the
-//! opposite shape — a stream of independent single-sample requests from
-//! many devices — so the economic question is how to *form* batches from
-//! live traffic without destroying latency, and how to survive overload.
-//! This crate answers with four cooperating pieces, all built on
-//! `std::thread` + `std::sync` (the workspace has no async runtime):
+//! Everything in the workspace up to this crate is offline: you hand it
+//! a full batch. An edge deployment sees the opposite shape — a stream
+//! of independent single-sample requests from many devices — so the
+//! question is how to score live traffic without adding latency to the
+//! over-the-air round trip, and how to survive overload. This crate
+//! answers with four cooperating pieces, all built on `std::thread` +
+//! `std::sync` (the workspace has no async runtime):
 //!
-//! * **Dynamic micro-batching** ([`batcher`]): a bounded submission queue
-//!   feeds scoring workers that flush a batch as soon as it reaches
-//!   `max_batch` *or* the oldest queued request has waited `max_delay` —
-//!   full batches under load, bounded latency when idle.
+//! * **Work-conserving micro-batching** ([`batcher`]): a bounded
+//!   submission queue feeds scoring workers, and a free worker takes
+//!   whatever is queued (up to `max_batch`) at once — there is no flush
+//!   deadline. Batching buys no compute here: every request carries its
+//!   own channel realization and is scored on its own through
+//!   `score_indexed`, so a larger batch shares no work. Batches form only
+//!   under load, from requests that arrived while every worker was busy,
+//!   and only amortize the queue's lock round trip.
 //! * **Deterministic scoring** ([`server`]): each request carries a
 //!   `sample_index`; workers score it through
 //!   [`MetaAiSystem::score_indexed`](metaai::pipeline::MetaAiSystem::score_indexed),
@@ -48,8 +51,6 @@ pub use deploy::{DeploymentRegistry, ModelEntry, ServeDeployment};
 pub use metrics::register_metrics;
 pub use server::{Client, Server, ServerBuilder, DEFAULT_MODEL};
 
-use std::time::Duration;
-
 /// What to do with a new request when the submission queue is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OverflowPolicy {
@@ -65,10 +66,8 @@ pub enum OverflowPolicy {
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Flush a batch as soon as this many requests are queued.
+    /// The most requests a worker takes from the queue at once.
     pub max_batch: usize,
-    /// Flush a partial batch once its oldest request has waited this long.
-    pub max_delay: Duration,
     /// Bounded submission-queue capacity (the backpressure threshold).
     pub queue_capacity: usize,
     /// Number of scoring worker threads.
@@ -81,7 +80,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_micros(2000),
             queue_capacity: 1024,
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             policy: OverflowPolicy::Shed,

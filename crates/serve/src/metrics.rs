@@ -13,14 +13,17 @@
 //! One deliberate deviation from the `_seconds` convention: end-to-end
 //! request latency is recorded in **microseconds**
 //! (`metaai.serve.e2e_latency_us`) because the interesting SLO range for
-//! a micro-batched service is 100 µs – 100 ms and the default decade
-//! buckets in seconds would crush it into two buckets.
+//! the service is 25 µs – 100 ms (an unloaded request spends tens of µs
+//! in the server) and the default decade buckets in seconds would crush
+//! it into two buckets.
 
 use metaai_telemetry::{Counter, Gauge, Histogram};
 use std::sync::OnceLock;
 
 /// Bucket upper bounds for `metaai.serve.e2e_latency_us` (microseconds).
-pub const LATENCY_US_BOUNDS: [f64; 8] = [
+pub const LATENCY_US_BOUNDS: [f64; 10] = [
+    25.0,
+    50.0,
     100.0,
     250.0,
     1_000.0,
@@ -31,19 +34,19 @@ pub const LATENCY_US_BOUNDS: [f64; 8] = [
     1_000_000.0,
 ];
 
-/// Bucket upper bounds for `metaai.serve.batch_size` (requests per flush).
+/// Bucket upper bounds for `metaai.serve.batch_size` (requests per dequeue).
 pub const BATCH_SIZE_BOUNDS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 256.0];
 
 pub(crate) struct ServeMetrics {
     /// Requests admitted into any queue.
     pub requests: Counter,
-    /// Batches flushed to workers.
+    /// Batches taken by workers.
     pub batches: Counter,
-    /// Queue depth after the most recent submit/flush (summed over
+    /// Queue depth after the most recent submit/dequeue (summed over
     /// models is meaningless for a gauge, so this reports the depth of
     /// whichever model queue last moved; per-model gauges are exact).
     pub queue_depth: Gauge,
-    /// Distribution of flushed batch sizes.
+    /// Distribution of dequeued batch sizes.
     pub batch_size: Histogram,
     /// Submit→reply latency of scored requests, in microseconds.
     pub e2e_latency_us: Histogram,
@@ -89,6 +92,21 @@ fn metrics() -> &'static ServeMetrics {
 pub(crate) fn tele() -> Option<&'static ServeMetrics> {
     metaai_telemetry::enabled().then(metrics)
 }
+
+/// Records `$body` on the aggregate instruments and on the per-model ones
+/// `$model` yields (an `Option<&ModelMetrics>`), each only while
+/// telemetry is on: `record!(entry.metrics.on(), |m| m.requests.inc())`.
+macro_rules! record {
+    ($model:expr, |$m:ident| $body:expr) => {{
+        if let Some($m) = $crate::metrics::tele() {
+            $body;
+        }
+        if let Some($m) = $model {
+            $body;
+        }
+    }};
+}
+pub(crate) use record;
 
 /// The per-model instrument set, created once when a model is registered
 /// (instruments are `Arc`-backed atomics, cheap to clone and hold).
@@ -177,6 +195,18 @@ mod tests {
                 "missing {expected} in {names:?}"
             );
         }
+    }
+
+    #[test]
+    fn sub_100_us_latencies_land_in_distinct_buckets() {
+        let registry = metaai_telemetry::Registry::new();
+        registry.set_enabled(true);
+        let h = registry.histogram("e2e", &super::LATENCY_US_BOUNDS);
+        [20.0, 40.0, 90.0].into_iter().for_each(|us| h.observe(us));
+        let metaai_telemetry::MetricValue::Histogram(h) = &registry.snapshot()[0].value else {
+            panic!("not a histogram");
+        };
+        assert_eq!(&h.buckets[..3], &[1, 1, 1]);
     }
 
     #[test]

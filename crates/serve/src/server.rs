@@ -35,13 +35,14 @@
 
 use crate::batcher::{Pending, ScoreRequest, ScoreResponse, Ticket};
 use crate::deploy::{DeploymentRegistry, ModelEntry};
+use crate::metrics::record;
 use crate::{OverflowPolicy, ServeConfig, ServeError};
 use metaai::pipeline::MetaAiSystem;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The registry key v1 wire traffic routes to (wire id 0), and the model
 /// single-model deployments conventionally register under.
@@ -95,15 +96,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Flush a batch as soon as this many requests are queued.
+    /// The most requests a worker takes from the queue at once.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Flush a partial batch once its oldest request has waited this long.
-    pub fn max_delay(mut self, max_delay: Duration) -> Self {
-        self.config.max_delay = max_delay;
         self
     }
 
@@ -192,11 +187,6 @@ impl Server {
     /// or [`ServeError::UnknownModel`] for an unregistered name.
     pub fn deploy_model(&self, name: &str, system: Arc<MetaAiSystem>) -> Result<u64, ServeError> {
         self.registry.swap(name, system)
-    }
-
-    /// The default model's current submission-queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.registry.default_entry().queue().depth()
     }
 
     /// How many scoring workers have been restarted after a panic,
@@ -327,12 +317,7 @@ fn supervised_worker(entry: &ModelEntry, faults: &FaultInjector) {
             Ok(()) => return,
             Err(_) => {
                 entry.restarts.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = crate::metrics::tele() {
-                    m.worker_restarts.inc();
-                }
-                if let Some(m) = entry.metrics.on() {
-                    m.worker_restarts.inc();
-                }
+                record!(entry.metrics.on(), |m| m.worker_restarts.inc());
             }
         }
     }
@@ -368,7 +353,7 @@ fn worker_loop(entry: &ModelEntry, faults: &FaultInjector) {
     let mut scratch: Vec<f64> = Vec::new();
     while let Some(batch) = entry.queue().next_batch() {
         // Pin one deployment for the whole batch: a swap landing mid-batch
-        // takes effect at the next flush, and in-flight work finishes on
+        // takes effect at the next batch, and in-flight work finishes on
         // the epoch it started on.
         let deployment = entry.current();
         entry.refresh_epoch_age();
@@ -382,14 +367,10 @@ fn worker_loop(entry: &ModelEntry, faults: &FaultInjector) {
                 // still drops this request (and counts it as expired).
                 if pending.request.deadline.is_some_and(|d| d < Instant::now()) {
                     let waited_us = pending.enqueued_at.elapsed().as_secs_f64() * 1e6;
-                    if let Some(m) = crate::metrics::tele() {
+                    record!(entry.metrics.on(), |m| {
                         m.expired_total.inc();
                         m.e2e_latency_expired_us.observe(waited_us);
-                    }
-                    if let Some(m) = entry.metrics.on() {
-                        m.expired_total.inc();
-                        m.e2e_latency_expired_us.observe(waited_us);
-                    }
+                    });
                     Err(ServeError::Expired)
                 } else if pending.request.input.len() != n_symbols {
                     Err(ServeError::BadRequest(format!(
@@ -405,12 +386,7 @@ fn worker_loop(entry: &ModelEntry, faults: &FaultInjector) {
                         &mut scratch,
                     );
                     let waited_us = pending.enqueued_at.elapsed().as_secs_f64() * 1e6;
-                    if let Some(m) = crate::metrics::tele() {
-                        m.e2e_latency_us.observe(waited_us);
-                    }
-                    if let Some(m) = entry.metrics.on() {
-                        m.e2e_latency_us.observe(waited_us);
-                    }
+                    record!(entry.metrics.on(), |m| m.e2e_latency_us.observe(waited_us));
                     Ok(ScoreResponse {
                         id: pending.request.id,
                         epoch: deployment.epoch,
@@ -424,5 +400,58 @@ fn worker_loop(entry: &ModelEntry, faults: &FaultInjector) {
                 .expect("unresolved slot")
                 .resolve(outcome);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::deploy::tests::tiny_system;
+    use std::time::Duration;
+
+    #[test]
+    fn a_single_worker_drains_a_burst_larger_than_max_batch() {
+        let config = ServeConfig {
+            max_batch: 4,
+            queue_capacity: 64,
+            workers: 1,
+            policy: OverflowPolicy::Shed,
+        };
+        let system = tiny_system(1);
+        let registry = DeploymentRegistry::new(vec![("m".into(), system.clone())], &config);
+        let entry = registry.default_entry().clone();
+        // The whole burst is queued before the worker starts; with nobody
+        // idle to hand the rest to, the worker must come back for it.
+        let input = metaai_math::CVec::from_vec(vec![metaai_math::C64 { re: 1.0, im: 0.0 }; 16]);
+        let request = |i| ScoreRequest {
+            id: i,
+            sample_index: i,
+            input: input.clone(),
+            deadline: None,
+        };
+        let tickets: Vec<Ticket> = (0..50)
+            .map(|i| entry.queue().submit(request(i)).unwrap())
+            .collect();
+        let worker = std::thread::spawn({
+            let entry = entry.clone();
+            move || supervised_worker(&entry, &FaultInjector::default())
+        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            tx.send(tickets.into_iter().map(Ticket::wait).collect::<Vec<_>>())
+        });
+        let replies = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the burst drained");
+        waiter.join().expect("waiter").expect("replies received");
+        let mut scratch = Vec::new();
+        for (i, reply) in (0..50).zip(replies) {
+            let offline = system.score_indexed(&input, entry.current().stream, i, &mut scratch);
+            let reply = reply.expect("scored");
+            assert_eq!((reply.id, reply.predicted), (i, offline));
+            assert_eq!(reply.scores, scratch, "sample {i}");
+        }
+        entry.queue().shutdown();
+        worker.join().expect("worker exits after the drain");
     }
 }

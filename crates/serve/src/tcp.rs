@@ -473,9 +473,9 @@ impl RetryPolicy {
 
 /// A synchronous request/response client over the wire protocol.
 ///
-/// One in-flight request at a time; for pipelined load generation, use
-/// [`into_stream`](Self::into_stream) and drive reads/writes from
-/// separate threads with the [`wire`] functions directly.
+/// One in-flight request at a time; for pipelined load generation, open
+/// a `TcpStream` and drive reads/writes from separate threads with the
+/// [`wire`] functions directly.
 ///
 /// [`connect_with`](Self::connect_with) installs connect/read/write
 /// timeouts, and [`score_retry`](Self::score_retry) wraps scoring in a
@@ -664,45 +664,12 @@ impl TcpClient {
         input: &[metaai_math::C64],
         policy: &RetryPolicy,
     ) -> io::Result<Result<ScoreResponse, ServeError>> {
-        self.retry_with(
-            &Request::Infer {
-                id,
-                sample_index,
-                deadline_us: 0,
-                input: input.to_vec(),
-            },
-            policy,
-        )
-    }
-
-    /// [`score_model`](Self::score_model) wrapped in `policy`'s retry
-    /// schedule, with the same semantics as
-    /// [`score_retry`](Self::score_retry).
-    pub fn score_model_retry(
-        &mut self,
-        model: u32,
-        id: u64,
-        sample_index: u64,
-        input: &[metaai_math::C64],
-        policy: &RetryPolicy,
-    ) -> io::Result<Result<ScoreResponse, ServeError>> {
-        self.retry_with(
-            &Request::InferModel {
-                model,
-                id,
-                sample_index,
-                deadline_us: 0,
-                input: input.to_vec(),
-            },
-            policy,
-        )
-    }
-
-    fn retry_with(
-        &mut self,
-        request: &Request,
-        policy: &RetryPolicy,
-    ) -> io::Result<Result<ScoreResponse, ServeError>> {
+        let request = Request::Infer {
+            id,
+            sample_index,
+            deadline_us: 0,
+            input: input.to_vec(),
+        };
         let mut rng = SimRng::derive(policy.seed, "tcp-client-retry");
         let attempts = policy.attempts.max(1);
         let mut last: io::Result<Result<ScoreResponse, ServeError>> =
@@ -711,7 +678,7 @@ impl TcpClient {
             if retry > 0 {
                 std::thread::sleep(policy.delay(retry - 1, &mut rng));
             }
-            match self.score_with(request) {
+            match self.score_with(&request) {
                 Ok(Ok(scored)) => return Ok(Ok(scored)),
                 Ok(Err(e)) if !e.is_retryable() => return Ok(Err(e)),
                 Ok(Err(e)) => last = Ok(Err(e)),
@@ -727,11 +694,6 @@ impl TcpClient {
             }
         }
         last
-    }
-
-    /// The raw stream, for callers that pipeline with their own threads.
-    pub fn into_stream(self) -> TcpStream {
-        self.reader.into_inner()
     }
 }
 

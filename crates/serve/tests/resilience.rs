@@ -17,7 +17,6 @@ use std::time::{Duration, Instant};
 fn config(workers: usize) -> ServeConfig {
     ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(2),
         queue_capacity: 256,
         workers,
         policy: OverflowPolicy::Shed,
@@ -82,16 +81,10 @@ fn a_worker_panic_resolves_the_ticket_and_the_pool_keeps_scoring() {
 
 #[test]
 fn a_mid_batch_panic_fails_only_the_tail_of_the_batch() {
-    // One worker and a long flush delay so all eight requests coalesce
-    // into a single batch with the poisoned sample in the middle.
-    let cfg = ServeConfig {
-        max_batch: 8,
-        max_delay: Duration::from_millis(300),
-        queue_capacity: 256,
-        workers: 1,
-        policy: OverflowPolicy::Shed,
-    };
-    let server = start_default(&cfg);
+    // One worker, so requests queued while it scores coalesce into the
+    // batches it takes next; how the eight split depends on timing, and
+    // the poisoned sample may land anywhere inside its batch.
+    let server = start_default(&config(1));
     let client = server.client();
     server.fault_injector().panic_on_sample(3);
 

@@ -6,7 +6,8 @@ mod common;
 
 use metaai::pipeline::MetaAiSystem;
 use metaai_serve::{
-    OverflowPolicy, ScoreRequest, ServeConfig, ServeError, Server, Ticket, DEFAULT_MODEL,
+    DeploymentRegistry, OverflowPolicy, ScoreRequest, ServeConfig, ServeError, Server, Ticket,
+    DEFAULT_MODEL,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,7 +15,6 @@ use std::time::{Duration, Instant};
 fn config() -> ServeConfig {
     ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(2),
         queue_capacity: 256,
         workers: 2,
         policy: OverflowPolicy::Shed,
@@ -77,44 +77,47 @@ fn drain_shutdown_completes_every_admitted_request() {
     ));
 }
 
+/// A registry with no scoring workers: nothing dequeues, so whatever is
+/// submitted stays queued.
+fn unserved_registry(models: &[&str], cfg: &ServeConfig) -> DeploymentRegistry {
+    let system = common::shared_system();
+    DeploymentRegistry::new(
+        models
+            .iter()
+            .map(|n| (n.to_string(), system.clone()))
+            .collect(),
+        cfg,
+    )
+}
+
 #[test]
 fn saturation_sheds_with_overloaded() {
-    // One slow lane: a single worker, a tiny queue, and a long flush
-    // delay so submissions pile up deterministically.
+    // No workers and a tiny queue, so submissions pile up deterministically.
     let cfg = ServeConfig {
         max_batch: 64,
-        max_delay: Duration::from_secs(30),
         queue_capacity: 4,
         workers: 1,
         policy: OverflowPolicy::Shed,
     };
-    let server = start_default(common::shared_system(), &cfg);
-    let client = server.client();
+    let registry = unserved_registry(&[DEFAULT_MODEL], &cfg);
+    let queue = registry.default_entry().queue();
     let _held: Vec<Ticket> = (0..4u64)
-        .map(|i| client.submit(request(i)).expect("fits in queue"))
+        .map(|i| queue.submit(request(i)).expect("fits in queue"))
         .collect();
     assert_eq!(
-        client.submit(request(4)).unwrap_err(),
+        queue.submit(request(4)).unwrap_err(),
         ServeError::Overloaded
     );
-    server.shutdown();
 }
 
 #[test]
 fn expired_requests_are_dropped_before_scoring() {
-    // The flush deadline (50 ms) is far beyond the request deadline
-    // (1 ms), so the worker reaches the request only after it expired.
-    let cfg = ServeConfig {
-        max_batch: 64,
-        max_delay: Duration::from_millis(50),
-        queue_capacity: 16,
-        workers: 1,
-        policy: OverflowPolicy::Shed,
-    };
-    let server = start_default(common::shared_system(), &cfg);
+    // The deadline has already passed when the request is submitted, so
+    // the worker reaches it only after it expired.
+    let server = start_default(common::shared_system(), &config());
     let client = server.client();
     let mut expired = request(0);
-    expired.deadline = Some(Instant::now() + Duration::from_millis(1));
+    expired.deadline = Some(Instant::now() - Duration::from_millis(1));
     let ticket = client.submit(expired).expect("admitted");
     assert_eq!(ticket.wait().unwrap_err(), ServeError::Expired);
     server.shutdown();
@@ -202,18 +205,13 @@ fn a_full_tenant_queue_does_not_shed_another_tenants_traffic() {
     // bounded queue, so alpha saturating sheds alpha alone.
     let cfg = ServeConfig {
         max_batch: 64,
-        max_delay: Duration::from_secs(30),
         queue_capacity: 4,
         workers: 1,
         policy: OverflowPolicy::Shed,
     };
-    let server = Server::builder()
-        .model("alpha", common::shared_system())
-        .model("beta", common::shared_system())
-        .config(cfg)
-        .start();
-    let alpha = server.client_for("alpha").expect("alpha");
-    let beta = server.client_for("beta").expect("beta");
+    let registry = unserved_registry(&["alpha", "beta"], &cfg);
+    let alpha = registry.entry("alpha").expect("alpha").queue();
+    let beta = registry.entry("beta").expect("beta").queue();
 
     let _held: Vec<Ticket> = (0..4u64)
         .map(|i| alpha.submit(request(i)).expect("fits in alpha's queue"))
@@ -227,7 +225,6 @@ fn a_full_tenant_queue_does_not_shed_another_tenants_traffic() {
     let _beta_held: Vec<Ticket> = (0..4u64)
         .map(|i| beta.submit(request(100 + i)).expect("beta admits freely"))
         .collect();
-    server.shutdown();
 }
 
 #[test]
