@@ -17,7 +17,7 @@
 use metaai_math::rng::SimRng;
 use metaai_math::{CMat, CVec, C64};
 use metaai_mts::array::MtsArray;
-use metaai_mts::channel::MtsLink;
+use metaai_mts::channel::{schedule_bits, MtsLink};
 use metaai_phy::shaping;
 use metaai_rf::environment::EnvChannel;
 use metaai_rf::noise::Awgn;
@@ -26,26 +26,19 @@ use metaai_rf::noise::Awgn;
 /// a (possibly imperfect) array: per-atom fabrication phase errors and
 /// stuck-at faults are applied on top of the programmed codes, then the
 /// far-field sum and common amplitude `α_p`.
+///
+/// Every atom's reflection is tabulated once per state
+/// ([`MtsLink::reflection_table`]) and each matrix entry sums lookups,
+/// bit for bit what evaluating `path · from_polar(..)` per atom gives.
 pub fn realize_channels(
     schedule: &crate::mapper::WeightSchedule,
     link: &MtsLink,
     array: &MtsArray,
 ) -> CMat {
-    let r = schedule.num_outputs();
-    let u = schedule.num_symbols();
-    assert_eq!(array.num_atoms(), link.num_atoms(), "array/link mismatch");
+    let (r, u) = (schedule.num_outputs(), schedule.num_symbols());
+    let table = link.reflection_table(array, schedule_bits(&schedule.codes));
     CMat::from_fn(r, u, |row, col| {
-        let codes = &schedule.codes[row][col];
-        let sum: C64 = codes
-            .iter()
-            .zip(&array.atoms)
-            .zip(&link.path_phasors)
-            .map(|((code, atom), &path)| {
-                let eff = atom.stuck_at.unwrap_or(*code);
-                path * C64::from_polar(atom.amplitude, eff.phase() + atom.phase_error)
-            })
-            .sum();
-        sum * link.alpha
+        table.sum(&schedule.codes[row][col]) * link.alpha
     })
 }
 
@@ -162,6 +155,47 @@ mod tests {
                     "clean array must reproduce solver sums"
                 );
             }
+        }
+    }
+
+    /// The pre-table realization, kept verbatim as the oracle: one
+    /// `from_polar` per (atom, weight).
+    fn reference_realize(
+        schedule: &crate::mapper::WeightSchedule,
+        link: &MtsLink,
+        array: &MtsArray,
+    ) -> CMat {
+        let (r, u) = (schedule.num_outputs(), schedule.num_symbols());
+        CMat::from_fn(r, u, |row, col| {
+            let sum: C64 = schedule.codes[row][col]
+                .iter()
+                .zip(&array.atoms)
+                .zip(&link.path_phasors)
+                .map(|((code, atom), &path)| {
+                    let eff = atom.stuck_at.unwrap_or(*code);
+                    path * C64::from_polar(atom.amplitude, eff.phase() + atom.phase_error)
+                })
+                .sum();
+            sum * link.alpha
+        })
+    }
+
+    #[test]
+    fn tabulated_realization_matches_the_per_atom_reference_bitwise() {
+        let (mapper, mut array) = mapper_and_array();
+        let sched = mapper.map(&random_weights(3, 7, 8), C64::ZERO);
+        let mut rng = SimRng::seed_from_u64(9);
+        array.inject_phase_noise(0.2, &mut rng);
+        array.inject_stuck_faults(0.1, &mut rng);
+        for atom in &mut array.atoms {
+            atom.amplitude = 0.6 + 0.35 * rng.uniform();
+        }
+        assert!(array.atoms.iter().any(|a| a.stuck_at.is_some()));
+        let got = realize_channels(&sched, &mapper.link, &array);
+        let want = reference_realize(&sched, &mapper.link, &array);
+        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(a.re.to_bits(), b.re.to_bits());
+            assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
     }
 

@@ -12,7 +12,7 @@ use metaai_nn::complex_lnn::ComplexLnn;
 use metaai_nn::data::ComplexDataset;
 use metaai_nn::engine::TrainEngine;
 use metaai_nn::train::TrainConfig;
-use metaai_rf::environment::{EnvChannel, Environment};
+use metaai_rf::environment::{EnvChannel, Environment, EnvironmentModel};
 use metaai_rf::noise::Awgn;
 use metaai_sim::{realize_stack, train_stack, StackSchedule, StackSolver, StackSpec, StackWeights};
 use metaai_telemetry::{Counter, Histogram};
@@ -61,7 +61,9 @@ pub struct StackDeployment {
 /// metasurface programme realizing it, and the physical channels the
 /// receiver will see.
 pub struct MetaAiSystem {
-    /// Deployment configuration.
+    /// Deployment configuration. The channels, mapper and environment
+    /// model were built from it; deploy again (e.g. [`redeploy`]) rather
+    /// than editing it in place.
     pub config: SystemConfig,
     /// The metasurface (with fabrication phase errors drawn from the
     /// config's seed).
@@ -90,6 +92,15 @@ pub struct MetaAiSystem {
     /// Column-major re/im planes of `channels`, split once at deployment
     /// so per-request engines ([`MetaAiSystem::engine`]) skip the split.
     planes: CPlanes,
+    /// The configured environment's draw-invariant part, built once at
+    /// deployment so [`MetaAiSystem::default_conditions`] only draws.
+    env_model: EnvironmentModel,
+}
+
+/// The environment model behind [`MetaAiSystem::default_conditions`]: the
+/// paper-default environment at `config`'s archetype and geometry.
+fn environment_model(config: &SystemConfig) -> EnvironmentModel {
+    Environment::paper_default(config.environment, config.tx, config.rx, config.freq_hz).model()
 }
 
 /// Layer 0 of a stack schedule viewed as a legacy single-surface
@@ -193,6 +204,7 @@ impl SystemBuilder {
         let channels = realize_channels(&schedule, &mapper.link, &array);
         let noise_floor = signal_power(&channels) / metaai_math::stats::from_db(config.snr_db);
         let planes = CPlanes::from_cmat(&channels);
+        let env_model = environment_model(&config);
         MetaAiSystem {
             config,
             array,
@@ -203,6 +215,7 @@ impl SystemBuilder {
             noise_floor,
             stack: None,
             planes,
+            env_model,
         }
     }
 
@@ -244,6 +257,7 @@ impl SystemBuilder {
         let array = geometry.surfaces[0].clone();
         let mapper = WeightMapper::new(&config, &array);
         let schedule = legacy_schedule(&stack_schedule);
+        let env_model = environment_model(&config);
         MetaAiSystem {
             config,
             array,
@@ -258,6 +272,7 @@ impl SystemBuilder {
                 schedule: stack_schedule,
             }),
             planes,
+            env_model,
         }
     }
 
@@ -290,19 +305,19 @@ impl MetaAiSystem {
     /// Default channel conditions for this deployment: the configured
     /// environment realized over `n_symbols`, AWGN anchored to the MTS
     /// signal power at the configured SNR, perfect coarse sync.
+    ///
+    /// The environment is drawn from a model built once at deployment from
+    /// `config` (archetype, Tx/Rx, carrier), bit-identical to building
+    /// [`Environment::paper_default`] and calling
+    /// [`static_gain`](Environment::static_gain) per call. Deploy a new
+    /// system (e.g. [`redeploy`]) to change those fields.
     pub fn default_conditions(&self, n_symbols: usize, rng: &mut SimRng) -> OtaConditions {
-        let env = Environment::paper_default(
-            self.config.environment,
-            self.config.tx,
-            self.config.rx,
-            self.config.freq_hz,
-        );
         let sync_shift = match self.config.sync_error {
             Some(model) => model.sample_residual_symbols(self.config.symbol_rate, rng),
             None => 0,
         };
         OtaConditions {
-            env: EnvChannel::from_environment(&env, n_symbols, rng),
+            env: EnvChannel::constant(self.env_model.draw(rng), n_symbols),
             mts_factor: vec![1.0; n_symbols],
             awgn: Awgn {
                 variance: self.noise_floor,
@@ -521,6 +536,7 @@ pub fn redeploy_warm(
                 schedule: stack_schedule,
             }),
             planes,
+            env_model: environment_model(config),
         };
     }
     let array = system.array.clone();
@@ -539,6 +555,7 @@ pub fn redeploy_warm(
         noise_floor: system.noise_floor,
         stack: None,
         planes,
+        env_model: environment_model(config),
     }
 }
 
@@ -619,6 +636,54 @@ mod tests {
             assert_eq!(predicted, batched[i].predicted, "sample {i}");
             assert_eq!(scratch, batched[i].scores, "sample {i} scores");
         }
+    }
+
+    /// Asserts `sys.default_conditions` is bit-identical to conditions
+    /// built the pre-model way: a fresh [`Environment::paper_default`] at
+    /// `sys.config` drawn through `static_gain`, same RNG order.
+    fn assert_conditions_follow_config(sys: &MetaAiSystem) {
+        let n = 12;
+        for index in 0..4 {
+            let mut rng = SimRng::derive_indexed(sys.config.seed, 3, index);
+            let mut rng_ref = SimRng::derive_indexed(sys.config.seed, 3, index);
+            let got = sys.default_conditions(n, &mut rng);
+            let cfg = &sys.config;
+            let env = Environment::paper_default(cfg.environment, cfg.tx, cfg.rx, cfg.freq_hz);
+            let sync_shift = cfg.sync_error.map_or(0, |m| {
+                m.sample_residual_symbols(cfg.symbol_rate, &mut rng_ref)
+            });
+            let want = EnvChannel::from_environment(&env, n, &mut rng_ref);
+            assert_eq!(got.sync_shift, sync_shift);
+            assert_eq!(got.env.len(), n);
+            for (a, b) in got.env.gains.iter().zip(&want.gains) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits());
+                assert_eq!(a.im.to_bits(), b.im.to_bits());
+            }
+            assert_eq!(got.mts_factor, vec![1.0; n]);
+            assert_eq!(got.awgn.variance.to_bits(), sys.noise_floor.to_bits());
+            assert_eq!(got.cancellation, cfg.cancellation);
+            assert_eq!(rng.uniform().to_bits(), rng_ref.uniform().to_bits());
+        }
+    }
+
+    #[test]
+    fn default_conditions_follow_every_deployment_path() {
+        let (sys, _) = quick_system();
+        assert_conditions_follow_config(&sys);
+        let mut moved = SystemConfig::paper_default()
+            .with_rx_at(2.5, 25.0)
+            .with_tx_at(1.4, 20.0);
+        moved.environment = metaai_rf::environment::EnvironmentKind::Laboratory;
+        let mut scratch = metaai_mts::solver::SolverScratch::new();
+        assert_conditions_follow_config(&redeploy(&sys, &moved));
+        assert_conditions_follow_config(&redeploy_warm(&sys, &moved, C64::ZERO, &mut scratch));
+
+        let stacked = MetaAiSystem::builder()
+            .config(SystemConfig::paper_default())
+            .layers(2)
+            .deploy(sys.net.clone());
+        assert_conditions_follow_config(&stacked);
+        assert_conditions_follow_config(&redeploy_warm(&stacked, &moved, C64::ZERO, &mut scratch));
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! the per-atom gain collapses, reproducing the FoV cliff of Fig 25.
 
 use crate::array::MtsArray;
+use crate::atom::PhaseCode;
 use metaai_math::C64;
 use metaai_rf::geometry::Point3;
 use metaai_rf::pathloss::{wavelength, wavenumber};
@@ -125,6 +126,73 @@ impl MtsLink {
     /// Upper bound on the normalized channel magnitude: one per atom.
     pub fn max_normalized(&self) -> f64 {
         self.num_atoms() as f64
+    }
+
+    /// Tabulates every atom's path-weighted reflection for every state of
+    /// `bits`-bit codes on `array`, so realizing a code vector sums
+    /// lookups instead of evaluating `sin`/`cos` per atom.
+    pub fn reflection_table(&self, array: &MtsArray, bits: u8) -> ReflectionTable {
+        assert_eq!(array.num_atoms(), self.num_atoms(), "array/link mismatch");
+        let n_states = 1usize << bits;
+        let mut entries = Vec::with_capacity(self.num_atoms() * n_states);
+        for (atom, &path) in array.atoms.iter().zip(&self.path_phasors) {
+            for s in 0..n_states {
+                let eff = atom.stuck_at.unwrap_or(PhaseCode::new(s as u8, bits));
+                entries
+                    .push(path * C64::from_polar(atom.amplitude, eff.phase() + atom.phase_error));
+            }
+        }
+        ReflectionTable { entries, bits }
+    }
+}
+
+/// Bit depth of a code schedule `codes[r][i][atom]`, read from its first
+/// code (2, the prototypes' depth, when it holds none).
+pub fn schedule_bits(codes: &[Vec<Vec<PhaseCode>>]) -> u8 {
+    codes
+        .iter()
+        .flatten()
+        .flatten()
+        .next()
+        .map_or(2, |c| c.bits)
+}
+
+/// Per-(atom, state) path-weighted reflections of one array on one link,
+/// built by [`MtsLink::reflection_table`]:
+/// `entries[m·S + s] = path_m · amplitude_m·e^{j(φ_eff + φ_error,m)}` with
+/// `S = 2^bits` and `φ_eff` the phase of state `s`, or of the stuck code
+/// for a stuck-at atom.
+///
+/// Each entry is formed from exactly the operands the per-atom
+/// realization used, and [`sum`](Self::sum) folds from zero in atom
+/// order like `Iterator::sum`, so tabulated channels are bit-identical to
+/// evaluating `path · from_polar(..)` per atom.
+#[derive(Clone, Debug)]
+pub struct ReflectionTable {
+    entries: Vec<C64>,
+    bits: u8,
+}
+
+impl ReflectionTable {
+    /// `Σ_m entries[m][codes[m]]`: the normalized channel sum (no `α_p`)
+    /// of the array programmed with `codes`.
+    pub fn sum(&self, codes: &[PhaseCode]) -> C64 {
+        let n_states = 1usize << self.bits;
+        assert_eq!(
+            codes.len() * n_states,
+            self.entries.len(),
+            "one code per atom"
+        );
+        codes
+            .iter()
+            .zip(self.entries.chunks_exact(n_states))
+            .fold(C64::ZERO, |acc, (code, row)| {
+                assert_eq!(
+                    code.bits, self.bits,
+                    "code bit depth differs from the table's"
+                );
+                acc + row[code.index as usize]
+            })
     }
 }
 

@@ -31,5 +31,5 @@ pub mod wdd;
 
 pub use array::{MtsArray, Prototype};
 pub use atom::{MetaAtom, PhaseCode};
-pub use channel::MtsLink;
+pub use channel::{MtsLink, ReflectionTable};
 pub use solver::WeightSolver;

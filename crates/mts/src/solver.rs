@@ -304,6 +304,102 @@ impl WeightSolver {
         table: &StateTable,
         scratch: &mut SolverScratch,
     ) -> SolveResult {
+        let sweeps = if self.num_targets() == 1 {
+            // One monomorphized kernel per bit depth: with the state count
+            // a constant, the state loop unrolls and its lookups need no
+            // bounds checks (`state_table` admits only 1–3 bits).
+            let (target, contrib) = (targets[0], &table.contrib[0]);
+            match table.n_states {
+                2 => self.descend_single::<2>(target, contrib, scratch),
+                4 => self.descend_single::<4>(target, contrib, scratch),
+                8 => self.descend_single::<8>(target, contrib, scratch),
+                n => unreachable!("{n} states: bit depth is 1..=3"),
+            }
+        } else {
+            self.descend_joint(targets, table, scratch)
+        };
+        let residual = scratch
+            .sums
+            .iter()
+            .zip(targets)
+            .map(|(&s, &t)| (s - t).norm_sq())
+            .sum::<f64>()
+            .sqrt();
+        if metaai_telemetry::enabled() {
+            let m = metrics();
+            m.solves.inc();
+            m.sweeps.add(sweeps as u64);
+            m.residual.observe(residual);
+        }
+        SolveResult {
+            codes: scratch.codes.clone(),
+            achieved: scratch.sums.clone(),
+            residual,
+            sweeps,
+        }
+    }
+
+    /// Single-target descent (the mapper's case) over one flat table row
+    /// of `S` states per atom, with the running sum in a local. A
+    /// one-element f64 sum is `0.0 + x = x`, and every state is tried with
+    /// the first strict minimum from `+∞` kept, so this matches the joint
+    /// loop bit for bit (ties and NaN included). Leaves the final sum in
+    /// `scratch.sums` and returns the sweep count.
+    fn descend_single<const S: usize>(
+        &self,
+        target: C64,
+        contrib: &[C64],
+        scratch: &mut SolverScratch,
+    ) -> usize {
+        let codes = &mut scratch.codes;
+        // Left fold from zero, matching `Sum`.
+        let mut sum = codes
+            .iter()
+            .zip(contrib.chunks_exact(S))
+            .fold(C64::ZERO, |a, (c, row)| a + row[c.index as usize]);
+
+        let mut sweeps = 0;
+        for sweep in 0..self.max_sweeps {
+            sweeps = sweep + 1;
+            let mut changed = false;
+            for (code, row) in codes.iter_mut().zip(contrib.chunks_exact(S)) {
+                let row: &[C64; S] = row.try_into().expect("chunks_exact yields S states");
+                // Remove this atom's contribution, try every state, keep
+                // the one minimizing the error.
+                sum -= row[code.index as usize];
+                let mut best_state = code.index as usize;
+                let mut best_err = f64::INFINITY;
+                for (s, &c) in row.iter().enumerate() {
+                    let err = (sum + c - target).norm_sq();
+                    if err < best_err {
+                        best_err = err;
+                        best_state = s;
+                    }
+                }
+                if best_state != code.index as usize {
+                    changed = true;
+                    *code = PhaseCode::new(best_state as u8, self.bits);
+                }
+                sum += row[best_state];
+            }
+            if !changed {
+                break;
+            }
+        }
+        scratch.sums.clear();
+        scratch.sums.push(sum);
+        sweeps
+    }
+
+    /// Joint descent over `K` targets: the per-atom step minimizes the sum
+    /// of squared errors across all targets. Leaves the final sums in
+    /// `scratch.sums` and returns the sweep count.
+    fn descend_joint(
+        &self,
+        targets: &[C64],
+        table: &StateTable,
+        scratch: &mut SolverScratch,
+    ) -> usize {
         let k = self.num_targets();
         let n_states = table.n_states;
         let codes = &mut scratch.codes;
@@ -332,31 +428,16 @@ impl WeightSolver {
                 // Try every state; keep the one minimizing total error.
                 let mut best_state = code.index as usize;
                 let mut best_err = f64::INFINITY;
-                if k == 1 {
-                    // Single-target fast path (the mapper's case). A
-                    // one-element f64 sum is `0.0 + x = x`, so this matches
-                    // the generic loop bit for bit.
-                    let (sum0, target0) = (sums[0], targets[0]);
-                    let row = &table.contrib[0][base..base + n_states];
-                    for (s, &c) in row.iter().enumerate() {
-                        let err = (sum0 + c - target0).norm_sq();
-                        if err < best_err {
-                            best_err = err;
-                            best_state = s;
-                        }
-                    }
-                } else {
-                    for s in 0..n_states {
-                        let err: f64 = (0..k)
-                            .map(|t| {
-                                let trial = sums[t] + table.contrib[t][base + s];
-                                (trial - targets[t]).norm_sq()
-                            })
-                            .sum();
-                        if err < best_err {
-                            best_err = err;
-                            best_state = s;
-                        }
+                for s in 0..n_states {
+                    let err: f64 = (0..k)
+                        .map(|t| {
+                            let trial = sums[t] + table.contrib[t][base + s];
+                            (trial - targets[t]).norm_sq()
+                        })
+                        .sum();
+                    if err < best_err {
+                        best_err = err;
+                        best_state = s;
                     }
                 }
                 if best_state != code.index as usize {
@@ -371,25 +452,7 @@ impl WeightSolver {
                 break;
             }
         }
-
-        let residual = sums
-            .iter()
-            .zip(targets)
-            .map(|(&s, &t)| (s - t).norm_sq())
-            .sum::<f64>()
-            .sqrt();
-        if metaai_telemetry::enabled() {
-            let m = metrics();
-            m.solves.inc();
-            m.sweeps.add(sweeps as u64);
-            m.residual.observe(residual);
-        }
-        SolveResult {
-            codes: codes.clone(),
-            achieved: sums.clone(),
-            residual,
-            sweeps,
-        }
+        sweeps
     }
 
     /// Convenience for the single-target case.
@@ -588,8 +651,18 @@ mod tests {
             let solver = WeightSolver::single(random_phasors(m, 1000 + m as u64), bits);
             let table = solver.state_table();
             let mut scratch = SolverScratch::new();
-            for _ in 0..10 {
-                let target = C64::from_polar(0.7 * m as f64 * rng.uniform(), rng.phase());
+            // Random targets, plus degenerate ones where only "first
+            // strict minimum from +∞" decides: NaN and infinite errors
+            // never win, and a zero target invites ties.
+            let degenerate = [
+                C64::new(f64::NAN, 0.0),
+                C64::new(f64::INFINITY, -1.0),
+                C64::ZERO,
+            ];
+            let random: Vec<C64> = (0..10)
+                .map(|_| C64::from_polar(0.7 * m as f64 * rng.uniform(), rng.phase()))
+                .collect();
+            for target in random.into_iter().chain(degenerate) {
                 let fast = solver.solve_with(&[target], &table, &mut scratch);
                 let refr = reference_solve(&solver, &[target]);
                 assert_eq!(fast.codes, refr.codes);

@@ -117,7 +117,20 @@ impl Environment {
 
     /// Draws a static environmental channel gain `H_e`: direct leakage plus
     /// scattered paths. Deterministic given the `rng` state.
+    ///
+    /// Rebuilds the [`model`](Self::model) on every call, so it always
+    /// reflects the current fields; callers drawing many gains from one
+    /// unchanging environment should build the model once and
+    /// [`draw`](EnvironmentModel::draw) from it.
     pub fn static_gain(&self, rng: &mut SimRng) -> C64 {
+        self.model().draw(rng)
+    }
+
+    /// Precomputes everything [`static_gain`](Self::static_gain) derives
+    /// from the fields alone — the line-of-sight leg and the antennas'
+    /// diffuse coupling (a numeric integral per directional antenna) — so
+    /// repeated draws only run the random scatterer loop.
+    pub fn model(&self) -> EnvironmentModel {
         let mut h = C64::ZERO;
 
         // Direct Tx→Rx leakage, attenuated by how far off boresight the
@@ -133,20 +146,61 @@ impl Environment {
             h += freespace_gain(d, self.freq_hz) * (g_tx * g_rx);
         }
 
+        EnvironmentModel {
+            direct: h,
+            diffuse: self.tx_antenna.diffuse_coupling() * self.rx_antenna.diffuse_coupling(),
+            refl: self.kind.reflection_coefficient(),
+            scatterers: self.kind.scatterer_count(),
+            room: self.room,
+            tx: self.tx,
+            rx: self.rx,
+            freq_hz: self.freq_hz,
+            bulk_attenuation: self.bulk_attenuation,
+        }
+    }
+}
+
+/// The draw-invariant part of an [`Environment`], built by
+/// [`Environment::model`]: the direct leg, the diffuse coupling and the
+/// fixed geometry. [`draw`](Self::draw) is bit-identical to
+/// [`Environment::static_gain`] on the environment it was built from —
+/// same operands, same operation order, same RNG draws.
+#[derive(Clone, Debug)]
+pub struct EnvironmentModel {
+    /// `H_e` after the line-of-sight term (zero without line of sight).
+    direct: C64,
+    /// Product of both antennas' diffuse coupling.
+    diffuse: f64,
+    /// Per-scatterer reflection coefficient.
+    refl: f64,
+    /// Scatterers drawn per gain.
+    scatterers: usize,
+    room: (Point3, Point3),
+    tx: Point3,
+    rx: Point3,
+    freq_hz: f64,
+    bulk_attenuation: f64,
+}
+
+impl EnvironmentModel {
+    /// Draws a static environmental channel gain `H_e`: the precomputed
+    /// direct leg plus freshly placed scatterers. Deterministic given the
+    /// `rng` state.
+    pub fn draw(&self, rng: &mut SimRng) -> C64 {
+        let mut h = self.direct;
+
         // Scattered paths: Tx → scatterer → Rx with a reflection loss and a
         // uniform phase. Antennas couple to the diffuse field with their
         // angle-averaged gain.
-        let diffuse = self.tx_antenna.diffuse_coupling() * self.rx_antenna.diffuse_coupling();
-        let refl = self.kind.reflection_coefficient();
         let (lo, hi) = self.room;
-        for _ in 0..self.kind.scatterer_count() {
+        for _ in 0..self.scatterers {
             let s = Point3::new(
                 rng.uniform_range(lo.x, hi.x),
                 rng.uniform_range(lo.y, hi.y),
                 rng.uniform_range(lo.z, hi.z),
             );
             let d_total = self.tx.distance(s) + s.distance(self.rx);
-            let amp = friis_amplitude(d_total.max(0.1), self.freq_hz) * refl * diffuse;
+            let amp = friis_amplitude(d_total.max(0.1), self.freq_hz) * self.refl * self.diffuse;
             h += C64::from_polar(amp, rng.phase());
         }
 
@@ -220,6 +274,69 @@ mod tests {
         let tx = place_at(mts, 1.0, deg_to_rad(30.0), 1.1);
         let rx = place_at(mts, 3.0, deg_to_rad(180.0 - 40.0), 1.1);
         Environment::paper_default(kind, tx, rx, 5.25e9)
+    }
+
+    /// The pre-model `static_gain`, kept verbatim (both diffuse-coupling
+    /// integrals recomputed per call) as the oracle the precomputed
+    /// [`EnvironmentModel`] must match bit for bit.
+    fn reference_static_gain(env: &Environment, rng: &mut SimRng) -> C64 {
+        let mut h = C64::ZERO;
+        if env.line_of_sight {
+            let g_tx = env
+                .tx_antenna
+                .gain(env.tx.angle_between(env.boresight, env.rx));
+            let g_rx = env
+                .rx_antenna
+                .gain(env.rx.angle_between(env.boresight, env.tx));
+            let d = env.tx.distance(env.rx).max(0.05);
+            h += freespace_gain(d, env.freq_hz) * (g_tx * g_rx);
+        }
+        let diffuse = env.tx_antenna.diffuse_coupling() * env.rx_antenna.diffuse_coupling();
+        let refl = env.kind.reflection_coefficient();
+        let (lo, hi) = env.room;
+        for _ in 0..env.kind.scatterer_count() {
+            let s = Point3::new(
+                rng.uniform_range(lo.x, hi.x),
+                rng.uniform_range(lo.y, hi.y),
+                rng.uniform_range(lo.z, hi.z),
+            );
+            let d_total = env.tx.distance(s) + s.distance(env.rx);
+            let amp = friis_amplitude(d_total.max(0.1), env.freq_hz) * refl * diffuse;
+            h += C64::from_polar(amp, rng.phase());
+        }
+        h * env.bulk_attenuation
+    }
+
+    #[test]
+    fn model_draws_match_the_reference_gain_bitwise() {
+        let antennas = [AntennaPattern::Omni, AntennaPattern::typical_directional()];
+        for kind in EnvironmentKind::all() {
+            for (tx_antenna, rx_antenna) in antennas.iter().flat_map(|&a| antennas.map(|b| (a, b)))
+            {
+                for line_of_sight in [true, false] {
+                    for bulk_attenuation in [1.0, 0.37] {
+                        let env = Environment {
+                            tx_antenna,
+                            rx_antenna,
+                            line_of_sight,
+                            bulk_attenuation,
+                            ..default_env(kind)
+                        };
+                        let model = env.model();
+                        let mut rng_model = SimRng::seed_from_u64(11);
+                        let mut rng_ref = SimRng::seed_from_u64(11);
+                        for _ in 0..8 {
+                            let got = model.draw(&mut rng_model);
+                            let want = reference_static_gain(&env, &mut rng_ref);
+                            assert_eq!(got.re.to_bits(), want.re.to_bits(), "{env:?}");
+                            assert_eq!(got.im.to_bits(), want.im.to_bits(), "{env:?}");
+                        }
+                        // Same draw count: the streams stay in lockstep.
+                        assert_eq!(rng_model.uniform().to_bits(), rng_ref.uniform().to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod pathloss;
 pub mod walls;
 
 pub use antenna::AntennaPattern;
-pub use environment::{EnvChannel, Environment, EnvironmentKind};
+pub use environment::{EnvChannel, Environment, EnvironmentKind, EnvironmentModel};
 pub use geometry::Point3;
 pub use interference::{InterferenceRegion, Interferer};
 pub use noise::Awgn;

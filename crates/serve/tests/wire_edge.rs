@@ -3,11 +3,72 @@
 //! sized by attacker-controlled bytes. Also pins the v1↔v2 compatibility
 //! contract: a v2 client greeting a v1-only server gets a typed
 //! [`ServeError::UnsupportedVersion`], never a hang or a garbage decode.
+//!
+//! The decode fuzz properties at the end run arbitrary and mutated bytes
+//! through every decoder under a counting allocator, so "never an
+//! allocation sized by attacker-controlled bytes" is measured, not just
+//! inferred from the absence of an out-of-memory abort.
 
 use metaai_math::C64;
 use metaai_serve::tcp::TcpClient;
 use metaai_serve::wire::{self, Request, Response, MAX_FRAME_BYTES, NO_REQUEST_ID};
 use metaai_serve::ServeError;
+use proptest::collection::vec;
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// The system allocator, recording the largest single request made on
+/// each thread since that thread last reset its mark.
+struct PeakAlloc;
+
+thread_local! {
+    static PEAK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: allocations made while a thread is torn down must not
+    // panic inside the allocator.
+    let _ = PEAK.try_with(|p| p.set(p.get().max(size)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the bookkeeping in `note`
+// neither allocates nor unwinds.
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+/// Runs `f`, returning its output and the largest single allocation it
+/// made on this thread.
+fn peak_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|p| p.set(0));
+    let out = f();
+    (out, PEAK.with(Cell::get))
+}
+
+/// Room for the small strings behind decode and I/O error messages.
+const ERROR_SLACK: usize = 256;
 
 fn infer_payload(n: usize) -> Vec<u8> {
     Request::Infer {
@@ -293,4 +354,151 @@ fn a_v2_client_greeting_a_v1_server_gets_unsupported_version_not_a_hang() {
     assert_eq!(err, ServeError::UnsupportedVersion);
     assert_eq!(err.code(), 8);
     assert!(!err.is_retryable(), "a version mismatch never heals itself");
+}
+
+/// One valid payload of every request and response kind, the seeds the
+/// mutation property corrupts.
+fn valid_payloads() -> Vec<Vec<u8>> {
+    let models = vec![
+        wire::ModelDescriptor {
+            id: 0,
+            epoch: 3,
+            outputs: 10,
+            symbols: 784,
+            name: "mnist".into(),
+        },
+        wire::ModelDescriptor {
+            id: 1,
+            epoch: 1,
+            outputs: 3,
+            symbols: 64,
+            name: "widar".into(),
+        },
+    ];
+    vec![
+        infer_payload(3),
+        infer_model_payload(2),
+        Request::Info.encode(),
+        Request::Shutdown.encode(),
+        Request::Hello { version: 2 }.encode(),
+        Response::Score {
+            id: 5,
+            epoch: 2,
+            predicted: 1,
+            scores: vec![0.5, 1.5, -0.25],
+        }
+        .encode(),
+        Response::Error { id: 5, code: 3 }.encode(),
+        Response::Info {
+            epoch: 1,
+            outputs: 10,
+            symbols: 784,
+        }
+        .encode(),
+        Response::ShutdownAck.encode(),
+        Response::HelloAck { version: 2, models }.encode(),
+    ]
+}
+
+/// Decodes `payload` both ways; neither decoder may panic, and neither
+/// may make an allocation larger than the payload can justify. A decoded
+/// HELLO_ACK descriptor takes about 48 bytes for its ≥ 22 payload bytes,
+/// so the bound is three bytes of allocation per payload byte.
+fn assert_decodes_cleanly(payload: &[u8]) {
+    let (_, peak) = peak_alloc(|| {
+        let _ = Request::decode(payload);
+        let _ = Response::decode(payload);
+    });
+    assert!(
+        peak <= 3 * payload.len() + ERROR_SLACK,
+        "a {}-byte payload made a {peak}-byte allocation",
+        payload.len()
+    );
+}
+
+/// Reads frames from `stream` until it ends or errors. No read may
+/// allocate more than its frame's declared length (and so never more
+/// than [`MAX_FRAME_BYTES`]); a frame over the cap allocates nothing but
+/// its error.
+fn assert_frames_read_cleanly(stream: &[u8]) {
+    let mut r = stream;
+    loop {
+        let declared = r
+            .get(..4)
+            .map_or(0, |b| u32::from_le_bytes(b.try_into().unwrap()) as usize);
+        let (result, peak) = peak_alloc(|| wire::read_frame(&mut r));
+        let allowed = if declared <= MAX_FRAME_BYTES {
+            declared
+        } else {
+            0
+        };
+        assert!(
+            peak <= allowed + ERROR_SLACK,
+            "a frame declaring {declared} bytes made a {peak}-byte allocation"
+        );
+        match result {
+            Ok(Some(frame)) => {
+                assert_eq!(frame.len(), declared);
+                assert_decodes_cleanly(&frame);
+            }
+            Ok(None) | Err(_) => break,
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(bytes in vec(any::<u8>(), 0..600)) {
+        assert_decodes_cleanly(&bytes);
+        assert_frames_read_cleanly(&bytes);
+    }
+
+    #[test]
+    fn mutated_valid_payloads_never_panic_a_decoder(
+        seed in 0usize..10,
+        flips in vec((any::<usize>(), any::<u8>()), 0..6),
+        cut in any::<usize>(),
+        grow in any::<bool>(),
+        tail in vec(any::<u8>(), 0..40),
+    ) {
+        let mut payload = valid_payloads().swap_remove(seed);
+        for &(at, byte) in &flips {
+            let len = payload.len();
+            payload[at % len] = byte;
+        }
+        // Truncate at a random point or append random bytes, so length
+        // fields disagree with the payload both ways.
+        if grow {
+            payload.extend_from_slice(&tail);
+        } else {
+            payload.truncate(cut % (payload.len() + 1));
+        }
+        assert_decodes_cleanly(&payload);
+
+        // The same payload behind a length prefix that tells the truth,
+        // and behind one that does not.
+        let mut framed = Vec::new();
+        wire::write_frame(&mut framed, &payload).unwrap();
+        assert_frames_read_cleanly(&framed);
+        framed[..4].copy_from_slice(&(cut as u32).to_le_bytes());
+        assert_frames_read_cleanly(&framed);
+    }
+
+    #[test]
+    fn read_frame_never_allocates_past_the_declared_length_or_the_cap(
+        kind in 0usize..4,
+        raw in any::<u32>(),
+        body in vec(any::<u8>(), 0..300),
+    ) {
+        let cap = MAX_FRAME_BYTES as u32;
+        let declared = match kind {
+            0 => raw % 320,                          // short frames, some complete
+            1 => cap - raw % 64,                     // just under the cap: mid-frame EOF
+            2 => cap + 1 + raw % (u32::MAX - cap),   // over the cap
+            _ => raw,                                // anything
+        };
+        let mut stream = declared.to_le_bytes().to_vec();
+        stream.extend_from_slice(&body);
+        assert_frames_read_cleanly(&stream);
+    }
 }

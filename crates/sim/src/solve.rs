@@ -25,6 +25,7 @@
 use crate::stack::StackGeometry;
 use metaai_math::{CMat, C64};
 use metaai_mts::atom::PhaseCode;
+use metaai_mts::channel::schedule_bits;
 use metaai_mts::solver::{SolverScratch, StateTable, WeightSolver};
 use metaai_telemetry::{Counter, Histogram};
 use rayon::prelude::*;
@@ -355,31 +356,33 @@ impl StackSolver {
 /// Π_l α_l · A_l[r, i]` on (possibly imperfect) surfaces: per-atom
 /// fabrication phase errors and stuck-at faults apply on top of each
 /// layer's programmed codes — the stacked analogue of the single-surface
-/// `realize_channels`.
+/// `realize_channels`, summing the same per-layer
+/// [`ReflectionTable`](metaai_mts::channel::ReflectionTable) lookups.
 pub fn realize_stack(geom: &StackGeometry, schedule: &StackSchedule) -> CMat {
     assert_eq!(
         geom.num_layers(),
         schedule.layers.len(),
         "geometry/schedule layer mismatch"
     );
+    let tables: Vec<_> = geom
+        .surfaces
+        .iter()
+        .zip(&geom.links)
+        .zip(&schedule.layers)
+        .map(|((surface, link), layer)| {
+            (
+                link.reflection_table(surface, schedule_bits(&layer.codes)),
+                link.alpha,
+            )
+        })
+        .collect();
     let (r, u) = (schedule.num_outputs(), schedule.num_symbols());
     CMat::from_fn(r, u, |row, col| {
-        geom.surfaces
+        tables
             .iter()
-            .zip(&geom.links)
             .zip(&schedule.layers)
-            .fold(C64::ONE, |acc, ((surface, link), layer)| {
-                let codes = &layer.codes[row][col];
-                let sum: C64 = codes
-                    .iter()
-                    .zip(&surface.atoms)
-                    .zip(&link.path_phasors)
-                    .map(|((code, atom), &path)| {
-                        let eff = atom.stuck_at.unwrap_or(*code);
-                        path * C64::from_polar(atom.amplitude, eff.phase() + atom.phase_error)
-                    })
-                    .sum();
-                acc * sum * link.alpha
+            .fold(C64::ONE, |acc, ((table, alpha), layer)| {
+                acc * table.sum(&layer.codes[row][col]) * *alpha
             })
     })
 }
@@ -501,6 +504,54 @@ mod tests {
         let again = solver.resolve_warm(&factors, C64::ZERO, &base, &mut scratch);
         for (x, y) in warm.layers.iter().zip(&again.layers) {
             assert_eq!(x.codes, y.codes);
+        }
+    }
+
+    /// The pre-table stack realization, kept verbatim as the oracle: one
+    /// `from_polar` per (layer, atom, weight).
+    fn reference_realize_stack(geom: &StackGeometry, schedule: &StackSchedule) -> CMat {
+        let (r, u) = (schedule.num_outputs(), schedule.num_symbols());
+        CMat::from_fn(r, u, |row, col| {
+            geom.surfaces
+                .iter()
+                .zip(&geom.links)
+                .zip(&schedule.layers)
+                .fold(C64::ONE, |acc, ((surface, link), layer)| {
+                    let sum: C64 = layer.codes[row][col]
+                        .iter()
+                        .zip(&surface.atoms)
+                        .zip(&link.path_phasors)
+                        .map(|((code, atom), &path)| {
+                            let eff = atom.stuck_at.unwrap_or(*code);
+                            path * C64::from_polar(atom.amplitude, eff.phase() + atom.phase_error)
+                        })
+                        .sum();
+                    acc * sum * link.alpha
+                })
+        })
+    }
+
+    #[test]
+    fn tabulated_stack_realization_matches_the_per_atom_reference_bitwise() {
+        for layers in 1..=3 {
+            let mut geom = geometry(layers, 96);
+            let solver = StackSolver::new(&geom, 0.9);
+            let sched = solver.solve(&random_factors(layers, 3, 5, 40 + layers as u64), C64::ZERO);
+            let mut rng = SimRng::seed_from_u64(50 + layers as u64);
+            for surface in &mut geom.surfaces {
+                surface.inject_phase_noise(0.2, &mut rng);
+                surface.inject_stuck_faults(0.1, &mut rng);
+                for atom in &mut surface.atoms {
+                    atom.amplitude = 0.6 + 0.35 * rng.uniform();
+                }
+                assert!(surface.atoms.iter().any(|a| a.stuck_at.is_some()));
+            }
+            let got = realize_stack(&geom, &sched);
+            let want = reference_realize_stack(&geom, &sched);
+            for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits(), "L = {layers}");
+                assert_eq!(a.im.to_bits(), b.im.to_bits(), "L = {layers}");
+            }
         }
     }
 
